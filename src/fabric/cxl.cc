@@ -1,6 +1,5 @@
 #include "fabric/cxl.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -105,58 +104,42 @@ Bytes Type3Device::region_size(int region) const {
 }
 
 SnoopFilter::SnoopFilter(std::uint64_t capacity_lines)
-    : capacity_(capacity_lines) {
-  LMP_CHECK(capacity_lines > 0);
-}
+    : recency_(capacity_lines) {}
 
-int SnoopFilter::EvictOne() {
-  // Evict the least-recently-tracked line; every holder gets a
-  // back-invalidation message.
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.lru_tick < victim->second.lru_tick) victim = it;
+int SnoopFilter::Track(std::uint64_t line) {
+  recency_.Access(line);
+  // A miss into a full filter evicts the least-recently-tracked line; every
+  // holder gets a back-invalidation message.
+  int holders = 0;
+  for (const mem::LruCache::Evicted& victim : recency_.TakeEvicted()) {
+    auto it = sharers_.find(victim.page);
+    holders += std::popcount(it->second);
+    sharers_.erase(it);
   }
-  const int holders = std::popcount(victim->second.sharers);
   back_invals_ += holders;
-  entries_.erase(victim);
   return holders;
 }
 
 SnoopFilter::AccessResult SnoopFilter::OnRead(int host, std::uint64_t line) {
   AccessResult result;
-  auto it = entries_.find(line);
-  if (it == entries_.end()) {
-    if (entries_.size() >= capacity_) {
-      result.back_invalidations = EvictOne();
-    }
-    it = entries_.emplace(line, Entry{}).first;
-  }
-  it->second.sharers |= 1ull << host;
-  it->second.lru_tick = ++tick_;
+  result.back_invalidations = Track(line);
+  sharers_[line] |= 1ull << host;
   return result;
 }
 
 SnoopFilter::AccessResult SnoopFilter::OnWrite(int host,
                                                std::uint64_t line) {
   AccessResult result;
-  auto it = entries_.find(line);
-  if (it == entries_.end()) {
-    if (entries_.size() >= capacity_) {
-      result.back_invalidations = EvictOne();
-    }
-    it = entries_.emplace(line, Entry{}).first;
-  } else {
-    // Invalidate all other sharers.
-    const std::uint64_t others = it->second.sharers & ~(1ull << host);
-    result.invalidations = std::popcount(others);
-  }
-  it->second.sharers = 1ull << host;
-  it->second.lru_tick = ++tick_;
+  result.back_invalidations = Track(line);
+  // Invalidate all other sharers.
+  std::uint64_t& sharers = sharers_[line];
+  result.invalidations = std::popcount(sharers & ~(1ull << host));
+  sharers = 1ull << host;
   return result;
 }
 
 bool SnoopFilter::IsTracked(std::uint64_t line) const {
-  return entries_.contains(line);
+  return sharers_.contains(line);
 }
 
 }  // namespace lmp::fabric

@@ -28,6 +28,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "mem/lru_cache.h"
 
 namespace lmp::fabric {
 
@@ -136,22 +137,19 @@ class SnoopFilter {
   AccessResult OnWrite(int host, std::uint64_t line);
 
   bool IsTracked(std::uint64_t line) const;
-  std::uint64_t tracked_lines() const { return entries_.size(); }
-  std::uint64_t capacity() const { return capacity_; }
+  std::uint64_t tracked_lines() const { return sharers_.size(); }
+  std::uint64_t capacity() const { return recency_.capacity(); }
   std::uint64_t total_back_invalidations() const { return back_invals_; }
 
  private:
-  struct Entry {
-    std::uint64_t sharers = 0;  // bitmask of caching hosts
-    std::uint64_t lru_tick = 0;
-  };
+  // Makes `line` the most recently tracked one; returns the holders
+  // back-invalidated by the eviction that made room for it, if any.
+  int Track(std::uint64_t line);
 
-  int EvictOne();  // returns holders invalidated
-
-  std::uint64_t capacity_;
-  std::uint64_t tick_ = 0;
+  mem::LruCache recency_;  // tracked lines in recency order
   std::uint64_t back_invals_ = 0;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  // line -> bitmask of caching hosts
+  std::unordered_map<std::uint64_t, std::uint64_t> sharers_;
 };
 
 }  // namespace lmp::fabric

@@ -156,6 +156,10 @@ TEST(SnoopFilterTest, RecencyProtectsHotLines) {
   filter.OnRead(0, 3);  // must evict 2, not 1
   EXPECT_TRUE(filter.IsTracked(1));
   EXPECT_FALSE(filter.IsTracked(2));
+  filter.OnWrite(1, 1);  // a write refreshes too: 3 is now LRU
+  filter.OnRead(0, 4);   // must evict 3, not 1
+  EXPECT_TRUE(filter.IsTracked(1));
+  EXPECT_FALSE(filter.IsTracked(3));
 }
 
 // The §3.2 design point: a working set within the filter capacity causes

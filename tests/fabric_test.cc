@@ -1,10 +1,16 @@
 // Tests for fabric/: link profiles calibrated from Tables 1–2, the
-// load-latency curve, and topology resource paths.
+// load-latency curve, topology resource paths and the rack spine.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "fabric/link.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
+#include "sim/stream.h"
 
 namespace lmp::fabric {
 namespace {
@@ -155,6 +161,54 @@ TEST_F(TopologyTest, LoadedLatencyRisesUnderTraffic) {
   }
   sim_.Run();
   EXPECT_GT(t.RemoteLoadedLatency(0, 1), 300.0);  // near max under load
+}
+
+// --- Spine: rack uplinks -----------------------------------------------------
+
+// Two racks of two servers whose uplinks carry `uplink` each.
+Topology MakeTwoRacks(sim::FluidSimulator* sim, BytesPerSec uplink) {
+  Topology t = Topology::MakeLogical(sim, 4, LinkProfile::Link0());
+  t.AssignRackShards(2);
+  t.ProvisionSpine(uplink);
+  return t;
+}
+
+// Runs one 10 GB DMA flow per (src, dst) pair; returns aggregate GB/s.
+double PullGbps(sim::FluidSimulator* sim, const Topology& t,
+                const std::vector<std::pair<int, int>>& pulls) {
+  std::vector<std::unique_ptr<sim::SpanStream>> streams;
+  for (const auto& [src, dst] : pulls) {
+    streams.push_back(std::make_unique<sim::SpanStream>(
+        sim, std::vector<sim::Span>{
+                 sim::Span{10e9, t.DmaRemotePath(src, dst)}}));
+  }
+  return sim::RunStreams(sim, std::move(streams)).gbps;
+}
+
+TEST_F(TopologyTest, OnlyCrossRackPathsTraverseUplinks) {
+  Topology t = MakeTwoRacks(&sim_, GBps(21.0));
+  const auto has = [](const std::vector<sim::ResourceId>& path,
+                      sim::ResourceId r) {
+    return std::find(path.begin(), path.end(), r) != path.end();
+  };
+  const auto cross = t.DmaRemotePath(2, 0);
+  EXPECT_TRUE(has(cross, t.rack_uplink(0)));
+  EXPECT_TRUE(has(cross, t.rack_uplink(1)));
+  const auto same = t.DmaRemotePath(1, 0);
+  EXPECT_FALSE(has(same, t.rack_uplink(0)));
+  EXPECT_FALSE(has(same, t.rack_uplink(1)));
+}
+
+// Both rack-0 servers pull from rack 1 at once: the 21 GB/s uplinks are
+// the bottleneck they share.
+TEST_F(TopologyTest, CrossRackFlowsShareTheUplink) {
+  Topology t = MakeTwoRacks(&sim_, GBps(21.0));
+  EXPECT_NEAR(PullGbps(&sim_, t, {{2, 0}, {3, 1}}), 21.0, 0.1);
+}
+
+TEST_F(TopologyTest, SameRackFlowSkipsTheUplink) {
+  Topology t = MakeTwoRacks(&sim_, GBps(1.0));  // tiny uplinks
+  EXPECT_NEAR(PullGbps(&sim_, t, {{1, 0}}), 34.5, 0.1);  // full port speed
 }
 
 }  // namespace

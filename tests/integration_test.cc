@@ -16,7 +16,6 @@
 #include "core/erasure.h"
 #include "core/lmp.h"
 #include "core/replication.h"
-#include "workloads/trace.h"
 
 namespace lmp {
 namespace {
@@ -198,7 +197,30 @@ TEST(EndToEndTest, RuntimeAdaptsToWorkloadShift) {
   EXPECT_DOUBLE_EQ(*frac, 1.0);
 }
 
-// --- Scenario: trace-driven balancing with the replayer --------------------
+// --- Scenario: trace-driven balancing ---------------------------------------
+
+// Server 0 reads 2000 Zipf-chosen 64 KiB chunks of `buffers`, one Touch per
+// read at `now`; returns the fraction of the bytes homed on server 0.
+StatusOr<double> ZipfReadLocalFraction(
+    core::PoolManager& manager, const std::vector<core::BufferId>& buffers,
+    SimTime now) {
+  ZipfGenerator buffer_zipf(buffers.size(), 0.9, 11);
+  ZipfGenerator chunk_zipf(MiB(1) / KiB(64), 0.9, 11 ^ 0x9e3779b9);
+  double local = 0, total = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const core::BufferId buffer = buffers[buffer_zipf.Next()];
+    const Bytes offset = chunk_zipf.Next() * KiB(64);
+    LMP_ASSIGN_OR_RETURN(auto spans, manager.Spans(buffer, offset, KiB(64)));
+    for (const core::LocatedSpan& span : spans) {
+      if (!span.location.is_pool() && span.location.server == 0) {
+        local += static_cast<double>(span.bytes);
+      }
+      total += static_cast<double>(span.bytes);
+    }
+    LMP_RETURN_IF_ERROR(manager.Touch(0, buffer, offset, KiB(64), now));
+  }
+  return local / total;
+}
 
 TEST(EndToEndTest, ZipfTraceBalancingImprovesLocality) {
   cluster::ClusterConfig config;
@@ -218,20 +240,16 @@ TEST(EndToEndTest, ZipfTraceBalancingImprovesLocality) {
     ASSERT_TRUE(buf.ok());
     buffers.push_back(*buf);
   }
-  workloads::TraceReplayer replayer(&manager, buffers);
-  const workloads::Trace trace = workloads::TraceGenerator::ZipfOverBuffers(
-      0, 8, MiB(1), KiB(64), 0.9, 2000, 11);
-
-  auto before = replayer.Replay(trace, Seconds(1));
+  auto before = ZipfReadLocalFraction(manager, buffers, Seconds(1));
   ASSERT_TRUE(before.ok());
-  EXPECT_DOUBLE_EQ(before->LocalFraction(), 0.0);
+  EXPECT_DOUBLE_EQ(*before, 0.0);
 
   for (int round = 0; round < 4; ++round) {
     ASSERT_TRUE(engine.RunOnce(Seconds(2)).ok());
   }
-  auto after = replayer.Replay(trace, Seconds(3));
+  auto after = ZipfReadLocalFraction(manager, buffers, Seconds(3));
   ASSERT_TRUE(after.ok());
-  EXPECT_GT(after->LocalFraction(), 0.5);
+  EXPECT_GT(*after, 0.5);
 }
 
 // --- Scenario: erasure + migration interplay -------------------------------
