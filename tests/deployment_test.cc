@@ -4,6 +4,8 @@
 // (vector size, link) combination.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/logical.h"
 #include "baselines/physical.h"
 
@@ -157,6 +159,12 @@ struct SweepCase {
   Bytes vector_bytes;
   bool link1;
 };
+
+// Prints the fields, not gtest's default byte dump: the dump includes the
+// struct's padding, so test names would change from process to process.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.vector_bytes / GiB(1) << "GiB_" << (c.link1 ? "Link1" : "Link0");
+}
 
 class ShapeSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
