@@ -9,8 +9,8 @@
 //   $ ./pool_operations
 #include <cstdio>
 
-#include "core/runtime.h"
 #include "core/lmp.h"
+#include "core/migration.h"
 
 namespace {
 
@@ -36,7 +36,6 @@ int main() {
   auto& manager = pool.manager();
   lmp::MetricsRegistry metrics;
   manager.set_metrics(&metrics);
-  lmp::core::LmpRuntime runtime(&manager);
 
   // A dataset that grows over time (log ingestion, say).
   auto dataset = pool.Allocate(lmp::MiB(8), 0);
@@ -58,10 +57,13 @@ int main() {
   PrintSnapshot(manager.Snapshot(0), "\npool before maintenance:");
 
   // Maintenance: drain server 0's shared region before taking it down.
-  auto moves = runtime.DrainServer(0, lmp::MiB(4), lmp::Seconds(1));
-  LMP_CHECK(moves.ok());
+  const auto drained = lmp::core::PlaceDrainVictims(
+      manager, 0, lmp::MiB(4), lmp::Seconds(1), 0,
+      static_cast<lmp::cluster::ServerId>(pool.cluster().num_servers()));
+  LMP_CHECK_OK(drained.status);
+  LMP_CHECK_OK(pool.cluster().server(0).ResizeShared(lmp::MiB(4)));
   std::printf("\ndrained server 0: %zu segment(s) relocated\n",
-              moves->size());
+              drained.moves.size());
   PrintSnapshot(manager.Snapshot(lmp::Seconds(1)),
                 "pool after drain (server 0 down to 4 MiB shared):");
 

@@ -1,5 +1,5 @@
 // Quickstart: create a logical memory pool, allocate a buffer in it, write
-// and read data from different servers, and watch the background runtime
+// and read data from different servers, and watch the background migrator
 // migrate a hot buffer toward its user.
 //
 //   $ ./quickstart

@@ -23,8 +23,7 @@ PoolOptions PoolOptions::Small() {
 Pool::Pool(const PoolOptions& options) {
   cluster_ = std::make_unique<cluster::Cluster>(options.cluster);
   manager_ = std::make_unique<core::PoolManager>(cluster_.get());
-  runtime_ = std::make_unique<core::LmpRuntime>(manager_.get(),
-                                                options.runtime);
+  migrator_ = std::make_unique<core::MigrationEngine>(manager_.get());
   coherent_ = std::make_unique<core::CoherentRegion>(
       options.coherent_bytes, options.coherence_granularity,
       options.cluster.num_servers);
@@ -55,5 +54,11 @@ StatusOr<core::BufferId> Pool::Allocate(
 }
 
 Status Pool::Free(core::BufferId buffer) { return manager_->Free(buffer); }
+
+std::vector<core::MigrationRecord> Pool::Tick(SimTime now) {
+  std::vector<core::MigrationRecord> records;
+  (void)migrator_->RunOnce(now, &records);
+  return records;
+}
 
 }  // namespace lmp

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/units.h"
@@ -59,5 +60,63 @@ class MigrationEngine {
   PoolManager* manager_;
   MigrationConfig config_;
 };
+
+// A segment whose frames block a shared-region shrink (it holds at least
+// one frame in the tail the resize would remove).
+struct DrainVictim {
+  SegmentId seg = kInvalidSegment;
+  Bytes size = 0;
+  double heat = 0;  // decayed traffic at selection time
+  // From the segment's allocation cohort: pinned victims sort last and
+  // drains skip them (their cohort opted out of being moved).
+  bool pinned = false;
+  double priority = 1.0;  // tenant priority; low drains first
+};
+
+// The active segments blocking a shrink of `server` to `target_bytes`:
+// mobile before pinned, then lowest tenant priority, then coldest (they
+// are the cheapest to lose locality on).  Empty when the shrink is already
+// possible.
+std::vector<DrainVictim> BlockedResidents(PoolManager& manager,
+                                          cluster::ServerId server,
+                                          Bytes target_bytes, SimTime now);
+
+// The live server in [first, limit), other than `source`, with the most
+// free shared bytes, provided they fit `bytes`; lowest id on ties.  Empty
+// when no such server has room.
+std::optional<cluster::ServerId> MostFreePeer(const cluster::Cluster& cluster,
+                                              cluster::ServerId first,
+                                              cluster::ServerId limit,
+                                              cluster::ServerId source,
+                                              Bytes bytes);
+
+// What PlaceDrainVictims did.  `moves` holds the migrations and
+// compactions in the order they ran; they stand even when the placement
+// stopped early.
+struct DrainPlacement {
+  std::vector<MigrationRecord> moves;
+  Status status;  // OK, or the error that stopped the placement
+  // Set when no destination had room for this victim (status is then
+  // kOutOfMemory).
+  SegmentId unplaced = kInvalidSegment;
+};
+
+// Moves every mobile segment blocking a shrink of `server` to
+// `target_bytes` out of the way (§5: a blocked sizing shrink lands after a
+// drain).  Pinned victims are skipped; so are busy ones (kFailedPrecondition
+// from the move), which the caller's retry picks up.  Each victim goes,
+// best first, to:
+//  1. its dominant accessor, when that is a live peer in [first, limit)
+//     with room — the drain then doubles as a locality migration;
+//  2. free frames below the cut on `server` itself (CompactSegment) — right
+//     when the drainer IS the dominant accessor (an exiled segment would
+//     be hauled back by the next balancing round), or when the shrink is
+//     blocked by fragmentation alone;
+//  3. MostFreePeer in [first, limit).
+// The shrink itself is the caller's: this only clears the tail.
+DrainPlacement PlaceDrainVictims(PoolManager& manager,
+                                 cluster::ServerId server, Bytes target_bytes,
+                                 SimTime now, cluster::ServerId first,
+                                 cluster::ServerId limit);
 
 }  // namespace lmp::core

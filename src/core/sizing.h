@@ -71,7 +71,10 @@ struct SizingApplyResult {
 class SizingOptimizer {
  public:
   // `total_memory` per server comes from the cluster; demands from the
-  // runtime's monitoring.  Every server must appear in `demands`.
+  // caller's monitoring.  Every server must appear in `demands`.  Ties
+  // break in input order: among equal priorities the earlier demand places
+  // its overflow first, and among peers with equal slack the earlier one
+  // takes it.  Callers that want a fixed plan pass a fixed order.
   static SizingPlan Solve(const cluster::Cluster& cluster,
                           std::vector<ServerDemand> demands);
 

@@ -301,79 +301,29 @@ void SizingController::PriceTransfer(const core::Location& from,
 
 void SizingController::BeginDrain(cluster::ServerId server,
                                   Bytes target_bytes, SimTime now) {
-  const std::vector<core::DrainVictim> victims =
-      core::BlockedResidents(*manager_, server, target_bytes, now);
-  cluster::Cluster& cluster = manager_->cluster();
+  // A scoped controller drains within its rack; off-rack room is the spine
+  // coordinator's to grant.
+  const core::DrainPlacement placed = core::PlaceDrainVictims(
+      *manager_, server, target_bytes, now, scope_first(), scope_limit());
+  if (!placed.status.ok()) {
+    // Give up on this drain — segments already moved stay moved, and the
+    // next epoch re-solves from the new occupancy.
+    ++stats_.drains_failed;
+    metrics_->Increment("ctrl.drains_failed");
+    if (placed.unplaced != core::kInvalidSegment && trace_ != nullptr) {
+      trace_->Instant(trace::Category::kCtrl, "drain_oom", now,
+                      {trace::Arg("server", server),
+                       trace::Arg("segment", placed.unplaced)});
+    }
+    return;
+  }
+  const std::vector<core::MigrationRecord>& records = placed.moves;
 
   Drain drain;
   drain.target_bytes = target_bytes;
   drain.started = now;
-  std::vector<core::MigrationRecord> records;
-  for (const core::DrainVictim& v : victims) {
-    if (v.pinned) continue;  // pinned cohorts are never drain victims
-    // Placement, best first:
-    //  1. The victim's dominant accessor, when it is a live peer with room
-    //     — the drain then doubles as a locality migration.
-    //  2. Compaction below the cut on the draining server itself — right
-    //     when the drainer IS the dominant accessor (exiling the segment
-    //     would just make the migrator haul it back next epoch) or when
-    //     the shrink is blocked by fragmentation alone.
-    //  3. The live peer with the most free shared bytes.
-    cluster::ServerId dest = server;
-    core::AccessTracker::DominantAccessor dom;
-    if (manager_->access_tracker().Dominant(v.seg, now, &dom) &&
-        dom.server != server && dom.server >= scope_first() &&
-        dom.server < scope_limit() &&
-        !cluster.server(dom.server).crashed() &&
-        cluster.server(dom.server).shared_allocator().free_bytes() >=
-            v.size) {
-      dest = dom.server;
-    }
-    if (dest == server) {
-      auto rec_or = manager_->CompactSegment(v.seg, target_bytes);
-      if (rec_or.ok()) {
-        if (rec_or->bytes > 0) {
-          records.push_back(*rec_or);
-          drain.moved_bytes += rec_or->bytes;
-        }
-        continue;
-      }
-      if (IsFailedPrecondition(rec_or.status())) continue;  // busy
-      // No room below the cut: fall through to the most-free in-scope
-      // peer (a scoped controller drains within its rack; off-rack room
-      // is the spine coordinator's to grant).
-      Bytes best_free = 0;
-      for (cluster::ServerId id = scope_first(); id < scope_limit(); ++id) {
-        if (id == server || cluster.server(id).crashed()) continue;
-        const Bytes free = cluster.server(id).shared_allocator().free_bytes();
-        if (free >= v.size && free > best_free) {
-          dest = id;
-          best_free = free;
-        }
-      }
-    }
-    if (dest == server) {
-      // Nobody can absorb the displaced bytes; give up on this drain —
-      // segments already moved stay moved, and the next epoch re-solves
-      // from the new occupancy.
-      ++stats_.drains_failed;
-      metrics_->Increment("ctrl.drains_failed");
-      if (trace_ != nullptr) {
-        trace_->Instant(trace::Category::kCtrl, "drain_oom", now,
-                        {trace::Arg("server", server),
-                         trace::Arg("segment", v.seg)});
-      }
-      return;
-    }
-    auto rec_or = manager_->MigrateSegment(v.seg, dest);
-    if (!rec_or.ok()) {
-      if (IsFailedPrecondition(rec_or.status())) continue;  // busy; next epoch
-      ++stats_.drains_failed;
-      metrics_->Increment("ctrl.drains_failed");
-      return;
-    }
-    records.push_back(*rec_or);
-    drain.moved_bytes += rec_or->bytes;
+  for (const core::MigrationRecord& rec : records) {
+    drain.moved_bytes += rec.bytes;
   }
 
   ++stats_.drains_started;

@@ -41,7 +41,6 @@
 #include "core/access_bits.h"
 #include "core/migration.h"
 #include "core/pool_manager.h"
-#include "core/runtime.h"
 #include "core/sizing.h"
 #include "ctrl/admission.h"
 #include "ctrl/demand_estimator.h"

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/runtime.h"
+#include "core/migration.h"
 
 namespace lmp::ctrl::hier {
 
@@ -115,18 +115,10 @@ Bytes RackController::ExecutePushes(SimTime now, Bytes budget,
          core::BlockedResidents(*manager_, src, 0, now)) {
       if (v.pinned) continue;
       if (moved + v.size > budget) continue;
-      cluster::ServerId dest = src;
-      Bytes best_free = 0;
-      for (cluster::ServerId d = dst_first; d < dst_limit; ++d) {
-        if (cluster.server(d).crashed()) continue;
-        const Bytes free = cluster.server(d).shared_allocator().free_bytes();
-        if (free >= v.size && free > best_free) {
-          dest = d;
-          best_free = free;
-        }
-      }
-      if (dest == src) continue;  // destination rack cannot absorb it
-      auto rec_or = manager_->MigrateSegment(v.seg, dest);
+      const std::optional<cluster::ServerId> dest =
+          core::MostFreePeer(cluster, dst_first, dst_limit, src, v.size);
+      if (!dest.has_value()) continue;  // destination rack cannot absorb it
+      auto rec_or = manager_->MigrateSegment(v.seg, *dest);
       if (!rec_or.ok()) continue;  // busy: next victim
       ++stats_.pushes;
       moved += rec_or->bytes;

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "core/pool_manager.h"
 #include "core/sizing.h"
 #include "ctrl/admission.h"
@@ -218,6 +220,46 @@ TEST_F(ControllerTest, BlockedShrinkDrainsAndLands) {
     EXPECT_DOUBLE_EQ(*frac, 1.0);
   }
   EXPECT_EQ(metrics_.Counter("ctrl.drains_completed"), stats.drains_completed);
+}
+
+TEST_F(ControllerTest, DrainWithNowhereToGoFailsAndKeepsTheSize) {
+  // Servers 1-3 are full with their own data.  Server 0 holds two 2 MiB
+  // buffers that server 1 reads; a 6 MiB private floor leaves server 0
+  // room for just one of them, so the solver cuts its region to 2 MiB.
+  // The tail buffer cannot go to server 1 (full), below the cut (the
+  // other buffer is there) or to any peer (all full): the drain fails.
+  for (cluster::ServerId s = 1; s < 4; ++s) {
+    ASSERT_TRUE(manager_.Allocate(MiB(8), s).ok());
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto buf = manager_.Allocate(MiB(2), 0);
+    ASSERT_TRUE(buf.ok());
+    const std::vector<core::SegmentId> segments =
+        manager_.Describe(*buf)->segments;
+    for (const core::SegmentId seg : segments) {
+      manager_.access_tracker().RecordAccess(seg, 1, double(MiB(32)), 0);
+    }
+  }
+
+  ControllerConfig config;
+  config.min_step = KiB(64);
+  config.run_migration = false;
+  auto controller = MakeController(config);
+  controller->estimator().SetPrivateFloor(0, MiB(6));
+  trace::TraceCollector collector;
+  controller->set_trace(&collector);
+  controller->RunEpochNow();
+
+  const ControllerStats& stats = controller->stats();
+  EXPECT_EQ(stats.shrinks_deferred, 1u);
+  EXPECT_EQ(stats.drains_failed, 1u);
+  EXPECT_EQ(stats.drains_started, 0u);
+  EXPECT_EQ(stats.drain_bytes, 0u);
+  EXPECT_EQ(controller->pending_drains(), 0);
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(8));
+  EXPECT_NE(collector.ToChromeJson().find(
+                R"({"name":"drain_oom","cat":"ctrl","ph":"i")"),
+            std::string::npos);
 }
 
 TEST_F(ControllerTest, HysteresisIgnoresSubStepJitter) {

@@ -1,8 +1,9 @@
-// Tests for LmpRuntime::DrainServer — the migrate-then-shrink path that
-// makes blocked sizing shrinks eventually land.
+// Tests for PlaceDrainVictims — the migrate-then-shrink path that makes
+// blocked sizing shrinks eventually land.
 #include <gtest/gtest.h>
 
-#include "core/runtime.h"
+#include "core/migration.h"
+#include "core/sizing.h"
 
 namespace lmp::core {
 namespace {
@@ -19,17 +20,28 @@ cluster::ClusterConfig Config() {
 
 class DrainTest : public ::testing::Test {
  protected:
-  DrainTest()
-      : cluster_(Config()), manager_(&cluster_), runtime_(&manager_) {}
+  DrainTest() : cluster_(Config()), manager_(&cluster_) {}
+
+  // Clears the blockers of a shrink of `server` to `target` anywhere in
+  // the cluster, then applies the shrink; `status` reports the first
+  // failure of the two.
+  DrainPlacement Drain(cluster::ServerId server, Bytes target) {
+    DrainPlacement placed =
+        PlaceDrainVictims(manager_, server, target, 0, 0, 4);
+    if (placed.status.ok()) {
+      placed.status = cluster_.server(server).ResizeShared(target);
+    }
+    return placed;
+  }
+
   cluster::Cluster cluster_;
   PoolManager manager_;
-  LmpRuntime runtime_;
 };
 
 TEST_F(DrainTest, EmptyServerShrinksWithoutMigration) {
-  auto records = runtime_.DrainServer(1, MiB(1), 0);
-  ASSERT_TRUE(records.ok());
-  EXPECT_TRUE(records->empty());
+  const DrainPlacement placed = Drain(1, MiB(1));
+  ASSERT_TRUE(placed.status.ok());
+  EXPECT_TRUE(placed.moves.empty());
   EXPECT_EQ(cluster_.server(1).shared_bytes(), MiB(1));
 }
 
@@ -40,9 +52,9 @@ TEST_F(DrainTest, ResidentSegmentsMigrateOutThenShrink) {
   std::vector<std::byte> data(MiB(3), std::byte{0x42});
   ASSERT_TRUE(manager_.Write(0, *buf, 0, data).ok());
 
-  auto records = runtime_.DrainServer(0, MiB(1), 0);
-  ASSERT_TRUE(records.ok()) << records.status();
-  EXPECT_FALSE(records->empty());
+  const DrainPlacement placed = Drain(0, MiB(1));
+  ASSERT_TRUE(placed.status.ok()) << placed.status;
+  EXPECT_FALSE(placed.moves.empty());
   EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(1));
 
   // Data intact at its new home; same buffer id.
@@ -65,8 +77,7 @@ TEST_F(DrainTest, ColdSegmentsLeaveBeforeHotOnes) {
   // Target still fits one of them: only the blocked tail must leave; the
   // hot segment occupies the tail (allocated second), but among evicted
   // candidates cold-first ordering governs when both block.
-  auto records = runtime_.DrainServer(0, MiB(1), 0);
-  ASSERT_TRUE(records.ok());
+  ASSERT_TRUE(Drain(0, MiB(1)).status.ok());
   // The hot segment sat in the tail, so it had to go regardless; verify
   // capacity met and everything still readable.
   EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(1));
@@ -83,9 +94,11 @@ TEST_F(DrainTest, PinnedResidentsBlockTheDrain) {
   auto buf = manager_.Allocate(MiB(2), pinned);
   ASSERT_TRUE(buf.ok());
   // The pinned resident must not be selected as a drain victim, and with
-  // nothing else to move the drain cannot reach its target.
-  auto records = runtime_.DrainServer(0, MiB(1), 0);
-  EXPECT_TRUE(IsFailedPrecondition(records.status()));
+  // nothing else to move the shrink cannot reach its target.
+  const DrainPlacement placed = Drain(0, MiB(1));
+  EXPECT_TRUE(placed.moves.empty());
+  EXPECT_TRUE(IsFailedPrecondition(placed.status));
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
 }
 
 TEST_F(DrainTest, FailsWhenPeersFull) {
@@ -96,9 +109,9 @@ TEST_F(DrainTest, FailsWhenPeersFull) {
   }
   auto buf = manager_.Allocate(MiB(3), 0);
   ASSERT_TRUE(buf.ok());
-  auto records = runtime_.DrainServer(0, MiB(1), 0);
-  EXPECT_FALSE(records.ok());
-  EXPECT_TRUE(IsOutOfMemory(records.status()));
+  const DrainPlacement placed = Drain(0, MiB(1));
+  EXPECT_TRUE(IsOutOfMemory(placed.status));
+  EXPECT_EQ(placed.unplaced, manager_.Describe(*buf)->segments[0]);
   // Server keeps its old size; data untouched.
   EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
 }
@@ -116,9 +129,53 @@ TEST_F(DrainTest, SizingDeferThenDrainConverges) {
   EXPECT_GT(deferred.deferred[0].stranded_bytes, 0u);
   EXPECT_EQ(cluster_.server(2).shared_bytes(), MiB(4));
 
-  ASSERT_TRUE(runtime_.DrainServer(2, MiB(1), 0).ok());
+  ASSERT_TRUE(Drain(2, MiB(1)).status.ok());
   EXPECT_EQ(cluster_.server(2).shared_bytes(), MiB(1));
   EXPECT_EQ(SizingOptimizer::Apply(cluster_, plan).deferred_count(), 0);
+}
+
+TEST_F(DrainTest, VictimGoesToItsDominantAccessor) {
+  // Server 2 reads the segment; the peers all have equal room, so only
+  // the dominant-accessor rule sends it to 2 rather than to server 1.
+  auto buf = manager_.Allocate(MiB(3), 0);
+  ASSERT_TRUE(buf.ok());
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  manager_.access_tracker().RecordAccess(seg, 2, double(MiB(8)), 0);
+
+  const DrainPlacement placed = Drain(0, MiB(1));
+  ASSERT_TRUE(placed.status.ok()) << placed.status;
+  ASSERT_EQ(placed.moves.size(), 1u);
+  EXPECT_EQ(placed.moves[0].to, Location::OnServer(2));
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(1));
+  auto frac = manager_.LocalFraction(*buf, 2);
+  ASSERT_TRUE(frac.ok());
+  EXPECT_DOUBLE_EQ(*frac, 1.0);
+}
+
+TEST_F(DrainTest, FragmentedShrinkIsFixedByCompaction) {
+  // [hole][kept][tail]: 2 MiB live in a 4 MiB region, but the tail
+  // segment sits past a 2 MiB cut.  Packing it into the hole is enough;
+  // no byte needs to leave the server.
+  auto hole = manager_.Allocate(MiB(1), 0);
+  auto kept = manager_.Allocate(MiB(1), 0);
+  auto tail = manager_.Allocate(MiB(1), 0);
+  ASSERT_TRUE(hole.ok() && kept.ok() && tail.ok());
+  std::vector<std::byte> data(MiB(1), std::byte{0x5a});
+  ASSERT_TRUE(manager_.Write(0, *tail, 0, data).ok());
+  ASSERT_TRUE(manager_.Free(*hole).ok());
+
+  const DrainPlacement placed = Drain(0, MiB(2));
+  ASSERT_TRUE(placed.status.ok()) << placed.status;
+  ASSERT_EQ(placed.moves.size(), 1u);
+  EXPECT_EQ(placed.moves[0].from, Location::OnServer(0));
+  EXPECT_EQ(placed.moves[0].to, Location::OnServer(0));
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(2));
+  for (int s = 1; s < 4; ++s) {
+    EXPECT_EQ(cluster_.server(s).shared_allocator().used_frames(), 0u);
+  }
+  std::vector<std::byte> out(MiB(1));
+  ASSERT_TRUE(manager_.Read(0, *tail, 0, out).ok());
+  EXPECT_EQ(out, data);
 }
 
 }  // namespace

@@ -62,6 +62,20 @@ TEST(SizingTest, OverflowGoesToPeerWithMostSlack) {
   EXPECT_EQ(plan.entries[2].shared_bytes, GiB(8));  // most slack took it
 }
 
+TEST(SizingTest, OverflowTieGoesToTheEarlierPeerInInputOrder) {
+  cluster::Cluster cluster(Config());
+  // Servers 3 and 1 have equal slack; 3 comes first in the input, so it
+  // takes the overflow even though its id is higher.
+  auto plan = SizingOptimizer::Solve(
+      cluster, {Demand(0, GiB(24), GiB(8)),   // no slack at all
+                Demand(3, GiB(8), 0),         // 16 slack
+                Demand(1, GiB(8), 0),         // 16 slack
+                Demand(2, GiB(20), 0)});      // 4 slack
+  ASSERT_EQ(plan.entries[1].server, 3u);
+  EXPECT_EQ(plan.entries[1].shared_bytes, GiB(8));
+  EXPECT_EQ(plan.entries[2].shared_bytes, 0u);
+}
+
 TEST(SizingTest, ShedsLowestPriorityUnderPressure) {
   cluster::Cluster cluster(Config(GiB(8)));
   // Total slack: 4 servers x 8 = 32; demands total 40 => 8 shed.
