@@ -1,5 +1,7 @@
 // Tests for cluster/: server private/shared split, resize semantics, the
 // paper deployment configs, crash/recover, and the §4.2 cost model.
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -7,6 +9,20 @@
 
 namespace lmp::cluster {
 namespace {
+
+bool AllZero(std::span<const std::byte> bytes) {
+  for (std::byte b : bytes) {
+    if (b != std::byte{0}) return false;
+  }
+  return true;
+}
+
+// Peak resident set of this process so far, in KiB on Linux.
+long MaxRssKiB() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 TEST(ServerTest, SplitAccounting) {
   Server s(0, GiB(24), GiB(16), 14, mem::kDefaultFrameSize, false);
@@ -53,6 +69,29 @@ TEST(ServerTest, RecoverClearsAllocations) {
             s.shared_allocator().num_frames());
 }
 
+TEST(ServerTest, RecoverZeroesTheBackingStore) {
+  Server s(0, MiB(4), MiB(4), 4, KiB(4), true);
+  s.backing().Frame(5)[17] = std::byte{0xC3};
+  ASSERT_TRUE(s.Crash().ok());
+  ASSERT_TRUE(s.Recover().ok());
+  EXPECT_EQ(s.backing().num_frames(), s.shared_allocator().num_frames());
+  EXPECT_TRUE(AllZero(s.backing().Frame(5)));
+}
+
+// The shared region commits memory on first touch: a GiB-scale backed
+// server constructs, grows and writes one frame without its peak RSS
+// following the region's size.
+TEST(ServerTest, BackedSharedRegionCommitsOnlyTouchedFrames) {
+  const long before = MaxRssKiB();
+  Server s(0, GiB(2), GiB(1), 4, mem::kDefaultFrameSize, true);
+  ASSERT_TRUE(s.ResizeShared(GiB(2)).ok());
+  const mem::FrameNumber last = s.backing().num_frames() - 1;
+  s.backing().Frame(last)[0] = std::byte{0x7E};
+  EXPECT_EQ(s.backing().Frame(last)[0], std::byte{0x7E});
+  EXPECT_TRUE(AllZero(s.backing().Frame(0)));
+  EXPECT_LT(MaxRssKiB() - before, 64 * 1024);
+}
+
 TEST(ServerTest, BackingOnlyWhenRequested) {
   Server with(0, MiB(1), MiB(1), 1, KiB(4), true);
   Server without(1, MiB(1), MiB(1), 1, KiB(4), false);
@@ -69,6 +108,15 @@ TEST(PoolDeviceTest, CapacityAndCrash) {
   EXPECT_EQ(pool.Crash().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(pool.Recover().ok());
   EXPECT_FALSE(pool.crashed());
+}
+
+TEST(PoolDeviceTest, RecoverZeroesTheBackingStore) {
+  PoolDevice pool(MiB(4), KiB(4), true);
+  pool.backing().Frame(9)[0] = std::byte{0x42};
+  ASSERT_TRUE(pool.Crash().ok());
+  ASSERT_TRUE(pool.Recover().ok());
+  EXPECT_EQ(pool.backing().num_frames(), pool.allocator().num_frames());
+  EXPECT_TRUE(AllZero(pool.backing().Frame(9)));
 }
 
 // --- Paper configurations (§4.1) ---------------------------------------------

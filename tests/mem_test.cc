@@ -480,5 +480,53 @@ TEST(BackingStoreTest, EnsureFramesGrows) {
   EXPECT_EQ(store.num_frames(), 8u);
 }
 
+bool AllZero(std::span<const std::byte> bytes) {
+  for (std::byte b : bytes) {
+    if (b != std::byte{0}) return false;
+  }
+  return true;
+}
+
+TEST(BackingStoreTest, UntouchedFramesReadAsZero) {
+  BackingStore store(4, KiB(4));
+  for (FrameNumber f = 0; f < store.num_frames(); ++f) {
+    EXPECT_TRUE(AllZero(store.Frame(f))) << "frame " << f;
+  }
+  store.Frame(3)[KiB(4) - 1] = std::byte{0x5A};
+  store.EnsureFrames(64);
+  for (FrameNumber f = 4; f < store.num_frames(); ++f) {
+    EXPECT_TRUE(AllZero(store.Frame(f))) << "grown frame " << f;
+  }
+  std::vector<std::byte> out(KiB(8));
+  store.Read(KiB(4) * 40, out);  // byte-addressed read of grown frames
+  EXPECT_TRUE(AllZero(out));
+}
+
+TEST(BackingStoreTest, DataSurvivesGrowth) {
+  BackingStore store(4, KiB(4));
+  std::vector<std::byte> in(store.num_frames() * KiB(4));
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = std::byte{static_cast<std::uint8_t>(i * 7 + 1)};
+  }
+  store.Write(0, in);
+  store.EnsureFrames(4 * 64);
+  store.EnsureFrames(4 * 1024);
+  ASSERT_EQ(store.num_frames(), 4u * 1024);
+  std::vector<std::byte> out(in.size());
+  store.Read(0, out);
+  EXPECT_EQ(in, out);
+  EXPECT_TRUE(AllZero(store.Frame(4)));
+}
+
+TEST(BackingStoreTest, EmptyStoreGrows) {
+  BackingStore store(0, KiB(4));
+  EXPECT_EQ(store.num_frames(), 0u);
+  store.Read(0, {});
+  store.EnsureFrames(2);
+  store.Frame(1)[0] = std::byte{0x11};
+  EXPECT_EQ(store.Frame(1)[0], std::byte{0x11});
+  EXPECT_TRUE(AllZero(store.Frame(0)));
+}
+
 }  // namespace
 }  // namespace lmp::mem
