@@ -46,6 +46,11 @@ class MetricsRegistry {
   void RecordValue(std::string_view name, std::uint64_t value,
                    std::uint64_t max_value = 1ull << 40);
 
+  // Named counter, created at 0 on first use.  Callers on hot paths cache
+  // the reference (valid until Reset) instead of looking it up per
+  // increment.
+  std::uint64_t& GetCounter(std::string_view name);
+
   // Named histogram instrument, created on first use.  Callers on hot
   // paths cache the reference instead of looking it up per sample.
   Histogram& GetHistogram(std::string_view name,

@@ -39,38 +39,55 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
 OpId OpEngine::Submit(OpKind kind, cluster::ServerId server, int core,
                       Step first) {
   const OpId id = next_id_++;
-  Op& op = pending_[id];
+  Op* slot;
+  if (free_slots_.empty()) {
+    slot = &slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Op& op = *slot;
   op.id_ = id;
   op.kind_ = kind;
   op.server_ = server;
   op.core_ = core;
   op.submit_time_ = sim_->now();
+  op.hops_ = 0;
+  op.lock_spins_ = 0;
+  ++in_flight_;
   // The first step is deferred like every later one, so Submit may be
   // called from anywhere (harness code, completion hooks, other steps)
   // without re-entering the engine.
-  sim_->ScheduleAt(sim_->now(), [this, id, step = std::move(first)](SimTime) {
-    RunStep(id, step);
-  });
+  sim_->ScheduleAt(sim_->now(),
+                   [this, ref = RefOf(op), step = std::move(first)](SimTime) {
+                     RunStep(ref, step);
+                   });
   return id;
 }
 
-void OpEngine::RunStep(OpId id, const Step& step) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // op finished out from under the timer
-  step(it->second);
+void OpEngine::RunStep(OpRef ref, const Step& step) {
+  Op* op = Resolve(ref);
+  if (op == nullptr) return;  // op finished out from under the timer
+  step(*op);
+}
+
+void OpEngine::Count(std::uint64_t*& cached, const char* suffix) {
+  if (cached == nullptr) {
+    cached = &metrics().GetCounter(options_.metrics_prefix + suffix);
+  }
+  ++*cached;
 }
 
 void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
                            Bytes len, double weight, Step next) {
-  const OpId id = op.id_;
+  const OpRef ref = RefOf(op);
   auto spans_or = manager_->Spans(buffer, offset, len);
   if (!spans_or.ok()) {
     // The access cannot be priced (segment lost in a crash, stale buffer).
     // Fail the op from the timer wheel so the calling step unwinds first.
     sim_->ScheduleAt(sim_->now(),
-                     [this, id, status = spans_or.status()](SimTime) {
-                       auto it = pending_.find(id);
-                       if (it != pending_.end()) Finish(it->second, status);
+                     [this, ref, status = spans_or.status()](SimTime) {
+                       if (Op* live = Resolve(ref)) Finish(*live, status);
                      });
     return;
   }
@@ -102,12 +119,12 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
   }
 
   ++op.hops_;
-  metrics().Increment(options_.metrics_prefix + ".hops");
+  Count(hops_counter_, ".hops");
   auto stream = std::make_unique<sim::SpanStream>(sim_, std::move(chain));
   stream->set_on_complete(
-      [this, id, propagation, step = std::move(next)](sim::SpanStream&) {
+      [this, ref, propagation, step = std::move(next)](sim::SpanStream&) {
         sim_->ScheduleAt(sim_->now() + propagation,
-                         [this, id, step](SimTime) { RunStep(id, step); });
+                         [this, ref, step](SimTime) { RunStep(ref, step); });
       });
   // Replacing the previous stream destroys it; its completion timer (the
   // one that delivered the step now issuing this access) has already fired.
@@ -127,20 +144,19 @@ void OpEngine::Write(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
 
 void OpEngine::Acquire(Op& op, core::DistributedLock* lock, Step next) {
   LMP_CHECK(lock != nullptr);
-  const OpId id = op.id_;
   // The first attempt also pays a full round trip: the CAS must reach the
   // coherent region's directory before anyone learns it succeeded.
-  sim_->ScheduleAfter(lock_rtt_,
-                      [this, id, lock, step = std::move(next)](SimTime) {
-                        AttemptLock(id, lock, step);
-                      });
+  sim_->ScheduleAfter(lock_rtt_, [this, ref = RefOf(op), lock,
+                                  step = std::move(next)](SimTime) {
+    AttemptLock(ref, lock, step);
+  });
 }
 
-void OpEngine::AttemptLock(OpId id, core::DistributedLock* lock,
+void OpEngine::AttemptLock(OpRef ref, core::DistributedLock* lock,
                            Step next) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Op& op = it->second;
+  Op* live = Resolve(ref);
+  if (live == nullptr) return;
+  Op& op = *live;
   auto held_or = lock->TryLock(static_cast<int>(op.server_));
   if (!held_or.ok()) {
     Finish(op, held_or.status());
@@ -151,14 +167,14 @@ void OpEngine::AttemptLock(OpId id, core::DistributedLock* lock,
     return;
   }
   ++op.lock_spins_;
-  metrics().Increment(options_.metrics_prefix + ".lock_spins");
+  Count(lock_spins_counter_, ".lock_spins");
   if (op.lock_spins_ >= options_.max_lock_spins) {
     Finish(op, UnavailableError("lock held past max_lock_spins"));
     return;
   }
   sim_->ScheduleAfter(lock_rtt_,
-                      [this, id, lock, step = std::move(next)](SimTime) {
-                        AttemptLock(id, lock, step);
+                      [this, ref, lock, step = std::move(next)](SimTime) {
+                        AttemptLock(ref, lock, step);
                       });
 }
 
@@ -173,10 +189,10 @@ void OpEngine::Release(Op& op, core::DistributedLock* lock, Step next) {
 }
 
 void OpEngine::Delay(Op& op, SimTime delay, Step next) {
-  const OpId id = op.id_;
-  sim_->ScheduleAfter(delay, [this, id, step = std::move(next)](SimTime) {
-    RunStep(id, step);
-  });
+  sim_->ScheduleAfter(delay,
+                      [this, ref = RefOf(op), step = std::move(next)](SimTime) {
+                        RunStep(ref, step);
+                      });
 }
 
 void OpEngine::Finish(Op& op, Status status) {
@@ -188,13 +204,18 @@ void OpEngine::Finish(Op& op, Status status) {
   result.finish_time = sim_->now();
   result.hops = op.hops_;
   result.lock_spins = op.lock_spins_;
-  pending_.erase(op.id_);  // `op` is dead past this line
+  // Free the slot: `op` is dead past this line, and any continuation still
+  // parked for it no longer resolves.
+  op.id_ = 0;
+  op.stream_.reset();
+  free_slots_.push_back(&op);
+  --in_flight_;
 
   ++completed_;
-  metrics().Increment(options_.metrics_prefix + ".completed");
+  Count(completed_counter_, ".completed");
   if (!status.ok()) {
     ++failed_;
-    metrics().Increment(options_.metrics_prefix + ".errors");
+    Count(errors_counter_, ".errors");
   } else {
     const auto kind_idx = static_cast<std::size_t>(result.kind);
     if (latency_hist_[kind_idx] == nullptr) {
@@ -208,12 +229,11 @@ void OpEngine::Finish(Op& op, Status status) {
 }
 
 Status OpEngine::Drain() {
-  while (!pending_.empty() && sim_->Step()) {
+  while (in_flight_ != 0 && sim_->Step()) {
   }
-  if (!pending_.empty()) {
+  if (in_flight_ != 0) {
     return InternalError("op engine drained with " +
-                         std::to_string(pending_.size()) +
-                         " ops still in flight");
+                         std::to_string(in_flight_) + " ops still in flight");
   }
   return Status::Ok();
 }

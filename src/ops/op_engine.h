@@ -13,8 +13,10 @@
 // op reaches it, the op pays the remote path; if migration moved it since
 // the previous hop, the op pays the new home.
 //
-// Shape (after the sst-elements async B+tree): ops live in a pending map,
-// each step issues one priced access and parks a continuation, and the
+// Shape (after the sst-elements async B+tree): ops live in a slab of
+// reusable slots, each step issues one priced access and parks a
+// continuation tagged with the op's id (so a continuation that outlives
+// its op is dropped rather than run on the slot's next tenant), and the
 // completion callback — always deferred through the simulator's timer
 // wheel — runs the continuation, which issues the next step or finishes
 // the op.  Finishing records the op's sim-time latency into the
@@ -34,10 +36,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
@@ -163,7 +166,7 @@ class OpEngine {
 
   // Introspection ------------------------------------------------------------
 
-  std::size_t in_flight() const { return pending_.size(); }
+  std::size_t in_flight() const { return in_flight_; }
   std::uint64_t submitted() const { return next_id_ - 1; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
@@ -183,11 +186,26 @@ class OpEngine {
   core::PoolManager* manager() { return manager_; }
 
  private:
+  // What a parked continuation holds: the op's slot and the id the slot
+  // held when it was parked.  A finished op's slot is reused by later
+  // submissions, so Resolve checks the id and returns null for a stale
+  // continuation.
+  struct OpRef {
+    Op* slot;
+    OpId id;
+  };
+  static OpRef RefOf(Op& op) { return OpRef{&op, op.id_}; }
+  static Op* Resolve(OpRef ref) {
+    return ref.slot->id_ == ref.id ? ref.slot : nullptr;
+  }
+
   void IssueAccess(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
                    double weight, Step next);
-  void AttemptLock(OpId id, core::DistributedLock* lock, Step next);
-  void RunStep(OpId id, const Step& step);
+  void AttemptLock(OpRef ref, core::DistributedLock* lock, Step next);
+  void RunStep(OpRef ref, const Step& step);
   MetricsRegistry& metrics() { return *metrics_; }
+  // Increments "<prefix><suffix>", looking the counter up on first use only.
+  void Count(std::uint64_t*& cached, const char* suffix);
 
   sim::FluidSimulator* sim_;
   fabric::Topology* topology_;
@@ -195,15 +213,22 @@ class OpEngine {
   Options options_;
   SimTime lock_rtt_ = 0;
   MetricsRegistry* metrics_;
-  // Node-based map: Op addresses stay stable while steps run.  Ops are
-  // erased on Finish, so memory tracks in-flight — not total — requests.
-  std::map<OpId, Op> pending_;
+  // Op slab: a deque never moves its elements, so Op addresses stay stable
+  // while steps run (and submit more ops).  Finish frees the slot for the
+  // next Submit, so memory tracks peak in-flight — not total — requests.
+  std::deque<Op> slots_;
+  std::vector<Op*> free_slots_;
+  std::size_t in_flight_ = 0;
   OpId next_id_ = 1;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   CompletionHook on_complete_;
-  // Cached distribution instruments (one lookup per kind, not per op).
+  // Cached instruments (one lookup per name, not per op, hop or spin).
   Histogram* latency_hist_[4] = {nullptr, nullptr, nullptr, nullptr};
+  std::uint64_t* hops_counter_ = nullptr;
+  std::uint64_t* lock_spins_counter_ = nullptr;
+  std::uint64_t* completed_counter_ = nullptr;
+  std::uint64_t* errors_counter_ = nullptr;
 };
 
 }  // namespace lmp::ops

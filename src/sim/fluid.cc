@@ -22,6 +22,11 @@ constexpr SimTime kTimeEpsilon = 1e-9;
 constexpr ResourceId kNoResource = std::numeric_limits<ResourceId>::max();
 constexpr std::size_t kNoTask = std::numeric_limits<std::size_t>::max();
 
+// Flows whose remaining duration is at most TieLimit(min) complete in the
+// same event as the shortest one.  Monotone in `min`, which is what lets
+// Step take the tie set in the same pass that finds the minimum.
+SimTime TieLimit(SimTime min) { return min + (min * 1e-9 + kTimeEpsilon); }
+
 }  // namespace
 
 FluidSimulator::FluidSimulator() = default;
@@ -30,7 +35,7 @@ FluidSimulator::~FluidSimulator() = default;
 ResourceId FluidSimulator::AddResource(std::string name,
                                        BytesPerSec capacity) {
   LMP_CHECK(capacity > 0) << "resource " << name << " needs capacity > 0";
-  resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0, now_});
+  resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0});
   flows_at_.emplace_back();
   headroom_.push_back(0);
   unfrozen_.push_back(0);
@@ -44,11 +49,9 @@ Status FluidSimulator::SetCapacity(ResourceId id, BytesPerSec capacity) {
     return InvalidArgumentError("no such resource");
   }
   if (capacity <= 0) return InvalidArgumentError("capacity must be > 0");
-  // Fold the utilization EWMA *before* the capacity changes: the elapsed
-  // window ran at the old capacity, and folding after the write would
-  // retroactively reprice it.  (The solve below folds again at dt == 0,
-  // which is a no-op.)
-  UpdateSmoothedUtil(resources_[id], now_);
+  // The utilization EWMA is already folded up to now_ at the old capacity
+  // (AdvanceTo folds every resource), so the elapsed window keeps the
+  // capacity it ran at.
   resources_[id].capacity = capacity;
   if (in_batch_) {
     batch_seed_.push_back(id);
@@ -78,23 +81,7 @@ double FluidSimulator::Utilization(ResourceId id) const {
 
 double FluidSimulator::SmoothedUtilization(ResourceId id) const {
   assert(id < resources_.size());
-  // Fold in the time since the last update at the current rate, without
-  // copying the resource (this is called per latency sample).
-  return FoldedSmoothedUtil(resources_[id], now_);
-}
-
-double FluidSimulator::FoldedSmoothedUtil(const Resource& r, SimTime t) const {
-  const SimTime dt = t - r.smoothed_at;
-  if (dt <= 0) return r.smoothed_util;
-  const double inst = r.capacity > 0 ? r.rate_sum / r.capacity : 0.0;
-  const double alpha = 1.0 - std::exp(-dt / kUtilTau);
-  return r.smoothed_util + alpha * (inst - r.smoothed_util);
-}
-
-void FluidSimulator::UpdateSmoothedUtil(Resource& r, SimTime t) const {
-  if (t - r.smoothed_at <= 0) return;
-  r.smoothed_util = FoldedSmoothedUtil(r, t);
-  r.smoothed_at = t;
+  return resources_[id].smoothed_util;  // folded up to now_ already
 }
 
 void FluidSimulator::SetResourceShard(ResourceId id, ShardId shard) {
@@ -119,6 +106,25 @@ void FluidSimulator::set_threads(int n) {
   threads_ = n;
   pool_.reset();
   if (n > 1) pool_ = std::make_unique<SolverPool>(n);
+}
+
+FluidSimulator::Flow* FluidSimulator::AllocFlow() {
+  if (free_flows_ != nullptr) {
+    Flow* flow = free_flows_;
+    free_flows_ = flow->next_free;
+    flow->next_free = nullptr;
+    return flow;
+  }
+  if (flow_slots_used_ % kFlowChunk == 0) {
+    flow_chunks_.push_back(std::make_unique<Flow[]>(kFlowChunk));
+  }
+  return &flow_chunks_.back()[flow_slots_used_++ % kFlowChunk];
+}
+
+void FluidSimulator::FreeFlow(Flow* flow) {
+  flow->on_done = nullptr;  // drop the callback's captures now
+  flow->next_free = free_flows_;
+  free_flows_ = flow;
 }
 
 void FluidSimulator::FinishRecord(FlowId id) {
@@ -176,12 +182,16 @@ FlowId FluidSimulator::StartFlow(double bytes,
     return id;
   }
 
-  Flow& flow =
-      active_
-          .emplace(id, Flow{bytes, path, 0.0, weight, std::move(on_done),
-                            /*visit_epoch=*/0})
-          .first->second;
-  IndexFlow(id, flow);
+  Flow& flow = *AllocFlow();
+  flow.id = id;
+  flow.remaining = bytes;
+  flow.rate = 0;
+  flow.path.assign(path.begin(), path.end());  // reuses the slot's capacity
+  flow.weight = weight;
+  flow.on_done = std::move(on_done);
+  flow.visit_epoch = 0;
+  active_.push_back(&flow);  // ids are monotonic: stays in id order
+  IndexFlow(flow);
   if (in_batch_) {
     batch_seed_.insert(batch_seed_.end(), path.begin(), path.end());
     return id;
@@ -207,28 +217,30 @@ void FluidSimulator::EndBatch() {
   SolveSeeded();
 }
 
-void FluidSimulator::IndexFlow(FlowId id, Flow& flow) {
+void FluidSimulator::IndexFlow(Flow& flow) {
   // Ids are issued monotonically, so push_back keeps each per-resource
   // index sorted; one entry per path occurrence mirrors the solver's
   // per-occurrence accounting.
   for (ResourceId r : flow.path) {
-    flows_at_[r].push_back(FlowEntry{id, &flow});
+    flows_at_[r].push_back(FlowEntry{flow.id, &flow});
   }
   UpdateShardCrossings(flow.path, +1);
 }
 
-void FluidSimulator::UnindexFlow(FlowId id,
-                                 const std::vector<ResourceId>& path) {
-  for (ResourceId r : path) {
+void FluidSimulator::UnindexFlow(const Flow& flow) {
+  for (ResourceId r : flow.path) {
     auto& entries = flows_at_[r];
     const auto cmp = [](const FlowEntry& e, const FlowEntry& v) {
       return e.id < v.id;
     };
     auto [lo, hi] = std::equal_range(entries.begin(), entries.end(),
-                                     FlowEntry{id, nullptr}, cmp);
+                                     FlowEntry{flow.id, nullptr}, cmp);
     entries.erase(lo, hi);
+    // A full solve would leave an idle resource at exactly 0; doing it
+    // here lets RecomputeAll visit loaded resources only.
+    if (entries.empty()) resources_[r].rate_sum = 0;
   }
-  UpdateShardCrossings(path, -1);
+  UpdateShardCrossings(flow.path, -1);
 }
 
 void FluidSimulator::UpdateShardCrossings(const std::vector<ResourceId>& path,
@@ -278,7 +290,7 @@ void FluidSimulator::ScheduleAfter(SimTime delay, TimerCallback cb) {
 void FluidSimulator::ProgressiveFill(std::vector<Work>& work,
                                      const std::vector<ResourceId>& comp_res,
                                      std::vector<double>& headroom,
-                                     std::vector<double>& unfrozen) {
+                                     std::vector<double>& unfrozen) const {
   // Progressive filling: repeatedly find the resource whose equal share for
   // still-unfrozen flows is smallest, freeze those flows at that share.
   // comp_res is sorted ascending so bottleneck ties break exactly as a
@@ -286,7 +298,10 @@ void FluidSimulator::ProgressiveFill(std::vector<Work>& work,
   // max-min core: the incremental solver, the full solver, every shard
   // task, and the CheckAgainstFullSolve oracle all run this code, so none
   // of them can drift from the others.  Rates land in Work::rate; nothing
-  // is written through Work::flow.
+  // is written through Work::flow except the work_index scratch.
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i].flow->work_index = static_cast<std::uint32_t>(i);
+  }
   std::size_t frozen_count = 0;
   while (frozen_count < work.size()) {
     double best_share = std::numeric_limits<double>::infinity();
@@ -313,17 +328,14 @@ void FluidSimulator::ProgressiveFill(std::vector<Work>& work,
       break;
     }
 
-    // Freeze every unfrozen flow crossing the bottleneck at the fair share.
-    for (auto& w : work) {
+    // Freeze every unfrozen flow crossing the bottleneck at the fair share,
+    // in id order.  flows_at_[best_res] lists exactly those flows, by id,
+    // once per path occurrence, and all of them are in `work`: a component
+    // holds every flow that crosses one of its resources.
+    for (const FlowEntry& e : flows_at_[best_res]) {
+      Work& w = work[e.flow->work_index];
+      assert(w.flow == e.flow);
       if (w.frozen) continue;
-      bool crosses = false;
-      for (ResourceId r : w.flow->path) {
-        if (r == best_res) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
       w.rate = best_share * w.flow->weight;
       w.frozen = true;
       ++frozen_count;
@@ -340,26 +352,24 @@ void FluidSimulator::RecomputeAll() {
   ++stats_.recompute_calls;
   ++stats_.full_solves;
   stats_.flows_touched += active_.size();
-  for (auto& r : resources_) {
-    UpdateSmoothedUtil(r, now_);
-    r.rate_sum = 0;
-  }
-  if (active_.empty()) return;
+  if (active_.empty()) return;  // every rate_sum is 0 (see UnindexFlow)
 
   if (tasks_.empty()) tasks_.emplace_back();
   ShardTask& task = tasks_[0];  // scratch reuse; full solves never overlap
   task.work.clear();
   task.comp_res.clear();
-  for (auto& [id, f] : active_) {
-    task.work.push_back(Work{id, &f, 0.0, false});
-  }
+  for (Flow* f : active_) task.work.push_back(Work{f->id, f, 0.0, false});
 
   // Remaining capacity and unfrozen WEIGHT per resource (weighted max-min:
-  // the fair share is per unit of weight).
+  // the fair share is per unit of weight).  Idle resources have no weight,
+  // so ProgressiveFill would skip them anyway; leaving them out of comp_res
+  // keeps its bottleneck scan to the loaded ones, still in index order.
   for (ResourceId r = 0; r < resources_.size(); ++r) {
+    if (flows_at_[r].empty()) continue;
     task.comp_res.push_back(r);
     headroom_[r] = resources_[r].capacity;
     unfrozen_[r] = 0;
+    resources_[r].rate_sum = 0;
   }
   for (const Work& w : task.work) {
     for (ResourceId r : w.flow->path) unfrozen_[r] += w.flow->weight;
@@ -525,7 +535,6 @@ void FluidSimulator::SolveTask(ShardTask& task) {
             [](const Work& a, const Work& b) { return a.id < b.id; });
 
   for (ResourceId r : task.comp_res) {
-    UpdateSmoothedUtil(resources_[r], now_);
     headroom_[r] = resources_[r].capacity;
     unfrozen_[r] = 0;
     resources_[r].rate_sum = 0;
@@ -550,11 +559,9 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   // Debug/test-only: allocates.
   std::vector<Work> work;
   work.reserve(active_.size());
-  for (const auto& [id, f] : active_) {
-    // ProgressiveFill only reads path/weight through the pointer and
-    // writes rates into Work::rate, so the const_cast is sound.
-    work.push_back(Work{id, const_cast<Flow*>(&f), 0.0, false});
-  }
+  // ProgressiveFill only reads path/weight through the pointer and writes
+  // rates into Work::rate.
+  for (Flow* f : active_) work.push_back(Work{f->id, f, 0.0, false});
   std::vector<ResourceId> comp_res(resources_.size());
   std::iota(comp_res.begin(), comp_res.end(), 0);
   std::vector<double> headroom(resources_.size());
@@ -584,61 +591,70 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   }
 }
 
-SimTime FluidSimulator::MinRemainingDuration() const {
-  // Durations (not absolute times) so precision is independent of now_ —
-  // the Zeno guard Step() relies on lives here and only here.
-  SimTime best = std::numeric_limits<SimTime>::infinity();
-  for (const auto& [id, f] : active_) {
-    if (f.rate <= 0) continue;
-    best = std::min(best, f.remaining / f.rate * kNsPerSec);
-  }
-  return best;
+void FluidSimulator::CreditFlow(Flow& flow, double secs) {
+  // Clamp to the flow's remaining bytes: the event-defining flows run out
+  // exactly here, and crediting rate * dt past that point over-counted
+  // bytes_served by up to the Zeno tolerance per completion (historical
+  // bug).  Residue the clamp leaves on force-completed flows is settled by
+  // Step().
+  const double moved = std::min(flow.rate * secs, flow.remaining);
+  flow.remaining -= moved;
+  for (ResourceId r : flow.path) resources_[r].bytes_served += moved;
 }
 
-SimTime FluidSimulator::NextCompletionTime() const {
-  const SimTime best = MinRemainingDuration();
-  return std::isfinite(best)
-             ? now_ + best
-             : std::numeric_limits<SimTime>::infinity();
+void FluidSimulator::FoldUtilization(SimTime dt) {
+  // Every resource was last folded at now_, so one alpha serves them all.
+  const double alpha = 1.0 - std::exp(-dt / kUtilTau);
+  for (Resource& r : resources_) {
+    const double inst = r.capacity > 0 ? r.rate_sum / r.capacity : 0.0;
+    r.smoothed_util += alpha * (inst - r.smoothed_util);
+  }
 }
 
 void FluidSimulator::AdvanceTo(SimTime t) {
-  assert(t + kTimeEpsilon >= now_);
-  const SimTime dt = std::max<SimTime>(0, t - now_);
+  assert(t >= now_);
+  const SimTime dt = t - now_;
   if (dt > 0) {
     const double secs = dt / kNsPerSec;
-    for (auto& [id, f] : active_) {
-      // Clamp to the flow's remaining bytes: the event-defining flows run
-      // out exactly here, and crediting rate * dt past that point
-      // over-counted bytes_served by up to the Zeno tolerance per
-      // completion (historical bug).  Residue the clamp leaves on
-      // force-completed flows is settled by Step().
-      const double moved = std::min(f.rate * secs, f.remaining);
-      f.remaining -= moved;
-      for (ResourceId r : f.path) resources_[r].bytes_served += moved;
-    }
-    for (auto& r : resources_) UpdateSmoothedUtil(r, t);
+    for (Flow* f : active_) CreditFlow(*f, secs);
+    FoldUtilization(dt);
   }
   now_ = t;
 }
 
 bool FluidSimulator::Step() {
   LMP_CHECK(!in_batch_) << "Step inside an open flow batch";
-  // Shortest remaining duration among active flows, plus the flows that
-  // achieve it (within a relative tolerance).  Working in durations and
-  // force-completing the event-defining flows guarantees progress even when
-  // now_ is large enough that absolute-time rounding would otherwise strand
-  // sub-epsilon residues (a Zeno deadlock).
-  const SimTime min_dt = MinRemainingDuration();
+  // One pass over the flow table finds the shortest remaining duration and
+  // the flows that tie with it (within a relative tolerance), computing
+  // each flow's duration once.  Working in durations and force-completing
+  // the event-defining flows guarantees progress even when now_ is large
+  // enough that absolute-time rounding would otherwise strand sub-epsilon
+  // residues (a Zeno deadlock).  A flow is kept as a candidate if it ties
+  // with the minimum so far; the limit only falls as the minimum does, so
+  // filtering the candidates by the final limit gives the exact tie set.
+  auto tied = std::move(tied_scratch_);
+  tied.clear();
+  SimTime min_dt = std::numeric_limits<SimTime>::infinity();
+  SimTime tie_limit = min_dt;
+  for (Flow* f : active_) {
+    if (f->rate <= 0) continue;
+    const SimTime d = f->remaining / f->rate * kNsPerSec;
+    if (d < min_dt) {
+      min_dt = d;
+      tie_limit = TieLimit(min_dt);
+    }
+    if (d <= tie_limit) tied.push_back(TieCandidate{f, d});
+  }
   const SimTime completion =
       std::isfinite(min_dt) ? now_ + min_dt
                             : std::numeric_limits<SimTime>::infinity();
   const SimTime timer = timers_.empty()
                             ? std::numeric_limits<SimTime>::infinity()
                             : timers_.front().when;
-  if (!std::isfinite(completion) && !std::isfinite(timer)) return false;
-
-  if (timer <= completion) {
+  if (timer <= completion) {  // also when nothing completes (both infinite)
+    tied.clear();
+    tied_scratch_ = std::move(tied);
+    if (!std::isfinite(timer)) return false;
     AdvanceTo(timer);
     // Batched dispatch: drain every timer due at this instant before
     // running any callback, so a wave of same-time timers costs one Step
@@ -662,52 +678,71 @@ bool FluidSimulator::Step() {
     return true;
   }
 
-  // Flows whose remaining duration is (within tolerance) the minimum are
-  // the ones this event completes.  Collect them *before* advancing:
-  // AdvanceTo clamps what it credits to each flow's remaining bytes, and
-  // whatever residue the clamp leaves on these flows (the event definer can
-  // round either way) is settled here, so per-resource BytesServed totals
-  // are exact per flow rather than off by up to the Zeno tolerance.
-  const SimTime dt_tolerance = min_dt * 1e-9 + kTimeEpsilon;
-  auto tied = std::move(tied_scratch_);
-  tied.clear();
-  for (auto& [id, f] : active_) {
-    if (f.rate <= 0) continue;
-    if (f.remaining / f.rate * kNsPerSec <= min_dt + dt_tolerance) {
-      tied.push_back(&f);
+  const SimTime limit = TieLimit(min_dt);
+  tied.erase(std::remove_if(tied.begin(), tied.end(),
+                            [limit](const TieCandidate& c) {
+                              return c.duration > limit;
+                            }),
+             tied.end());
+
+  // Advance and collect the finished flows in one pass, compacting the
+  // table in place.  Tied flows finish by definition; for the rest the
+  // test reads only the flow's own state, which the tied-residue flush
+  // below never touches, so it can run before that flush.
+  auto done = std::move(done_scratch_);
+  done.clear();
+  const SimTime dt = completion - now_;
+  const double secs = dt / kNsPerSec;
+  std::size_t next_tied = 0;
+  std::size_t kept = 0;
+  for (Flow* f : active_) {
+    if (dt > 0) CreditFlow(*f, secs);
+    bool finished;
+    if (next_tied < tied.size() && tied[next_tied].flow == f) {
+      ++next_tied;
+      finished = true;
+    } else {
+      finished = f->remaining <= kByteEpsilon ||
+                 (f->rate > 0 &&
+                  f->remaining / f->rate * kNsPerSec < kTimeEpsilon);
+    }
+    if (finished) {
+      done.push_back(f);
+    } else {
+      active_[kept++] = f;
     }
   }
-  AdvanceTo(completion);
-  for (Flow* f : tied) {
-    if (f->remaining > 0) {
-      for (ResourceId r : f->path) resources_[r].bytes_served += f->remaining;
-      f->remaining = 0;
+  active_.resize(kept);
+  if (dt > 0) FoldUtilization(dt);
+  now_ = completion;
+
+  // The clamp in CreditFlow can leave a residue on the tied flows (the
+  // event definer can round either way).  Settling it here, after every
+  // flow's credit, makes per-resource BytesServed totals exact per flow
+  // rather than off by up to the Zeno tolerance.
+  for (const TieCandidate& c : tied) {
+    Flow& f = *c.flow;
+    if (f.remaining > 0) {
+      for (ResourceId r : f.path) resources_[r].bytes_served += f.remaining;
+      f.remaining = 0;
     }
   }
   tied.clear();
   tied_scratch_ = std::move(tied);
 
-  // Collect every flow that finished at this instant.
-  auto done = std::move(done_scratch_);
-  done.clear();
   seed_res_.clear();
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remaining <= kByteEpsilon ||
-        (it->second.rate > 0 &&
-         it->second.remaining / it->second.rate * kNsPerSec < kTimeEpsilon)) {
-      FinishRecord(it->first);
-      done.emplace_back(it->first, std::move(it->second.on_done));
-      seed_res_.insert(seed_res_.end(), it->second.path.begin(),
-                       it->second.path.end());
-      UnindexFlow(it->first, it->second.path);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
+  for (Flow* f : done) {
+    FinishRecord(f->id);
+    seed_res_.insert(seed_res_.end(), f->path.begin(), f->path.end());
+    UnindexFlow(*f);
   }
   SolveSeeded();
-  // Callbacks run after rates are consistent; they may start new flows.
-  for (auto& [id, cb] : done) {
+  // Callbacks run after rates are consistent; they may start new flows,
+  // which can reuse a slot as soon as its callback has been taken.
+  for (Flow* f : done) {
+    const FlowId id = f->id;
+    FlowCallback cb = std::move(f->on_done);
+    FreeFlow(f);
     if (cb) cb(id, now_);
     if (retention_ == RecordRetention::kDropCompleted) records_.erase(id);
   }
@@ -752,8 +787,10 @@ Status FluidSimulator::ReleaseRecord(FlowId id) {
 }
 
 double FluidSimulator::FlowRate(FlowId id) const {
-  auto it = active_.find(id);
-  return it == active_.end() ? 0.0 : it->second.rate;
+  const auto it = std::lower_bound(
+      active_.begin(), active_.end(), id,
+      [](const Flow* f, FlowId v) { return f->id < v; });
+  return it != active_.end() && (*it)->id == id ? (*it)->rate : 0.0;
 }
 
 double FluidSimulator::BytesServed(ResourceId id) const {

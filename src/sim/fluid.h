@@ -255,28 +255,42 @@ class FluidSimulator {
     BytesPerSec capacity = 0;
     double rate_sum = 0;       // sum of currently allocated flow rates
     double bytes_served = 0;
-    // EWMA of utilization with time constant kUtilTau.  Invariant: the EWMA
-    // is folded *before* rate_sum or capacity changes, so each elapsed
-    // window is priced at the rate and capacity it actually ran with.
+    // EWMA of utilization with time constant kUtilTau, always folded up to
+    // now_: AdvanceTo is the only thing that moves time and it folds every
+    // resource, before any rate_sum or capacity changes at the new instant,
+    // so each elapsed window is priced at the rate and capacity it
+    // actually ran with.
     double smoothed_util = 0;
-    SimTime smoothed_at = 0;
   };
 
+  // A slot of the flow table.  Hot fields (the per-event passes read id,
+  // remaining, rate and path) come first.
   struct Flow {
+    FlowId id = kInvalidFlow;
     double remaining = 0;
-    std::vector<ResourceId> path;
     double rate = 0;
+    std::vector<ResourceId> path;
     double weight = 1.0;
     FlowCallback on_done;
     std::uint64_t visit_epoch = 0;  // component-BFS visited stamp
+    std::uint32_t work_index = 0;   // this flow's Work entry in a solve
+    Flow* next_free = nullptr;      // free-list link while the slot is unused
   };
 
   // Per-resource index entry: flows are stored in ascending-id order (ids
-  // are issued monotonically) with one entry per path occurrence.  Flow
-  // pointers stay valid because active_ is a node-based map.
+  // are issued monotonically) with one entry per path occurrence.  Slots
+  // never move, and an entry is removed before its slot is freed, so the
+  // pointer stays valid for the entry's lifetime.
   struct FlowEntry {
     FlowId id;
     Flow* flow;
+  };
+
+  // A flow whose remaining duration was within the tie tolerance of the
+  // running minimum when Step's duration pass reached it.
+  struct TieCandidate {
+    Flow* flow;
+    SimTime duration;
   };
 
   struct Work {
@@ -316,37 +330,52 @@ class FluidSimulator {
   // resources in seed_res_ (or everything when incremental mode is off):
   // SolveSeededImpl() partitions the seeds into per-closed-shard tasks plus
   // a spill task and runs SolveTask on each (on the pool when >1 task);
-  // RecomputeAll() is the classic full pass.  ProgressiveFill() is the
-  // weighted-max-min core every path shares — including the
-  // CheckAgainstFullSolve oracle, so the reference cannot drift from the
-  // production solver.
+  // RecomputeAll() is the classic full pass over every loaded resource.
+  // ProgressiveFill() is the weighted-max-min core every path shares —
+  // including the CheckAgainstFullSolve oracle, so the reference cannot
+  // drift from the production solver.
   void SolveSeeded();
   void SolveSeededImpl();
   void RecomputeAll();
   void SolveTask(ShardTask& task);
-  static void ProgressiveFill(std::vector<Work>& work,
-                              const std::vector<ResourceId>& comp_res,
-                              std::vector<double>& headroom,
-                              std::vector<double>& unfrozen);
+  void ProgressiveFill(std::vector<Work>& work,
+                       const std::vector<ResourceId>& comp_res,
+                       std::vector<double>& headroom,
+                       std::vector<double>& unfrozen) const;
   void CheckAgainstFullSolve() const;
 
-  void IndexFlow(FlowId id, Flow& flow);
-  void UnindexFlow(FlowId id, const std::vector<ResourceId>& path);
+  void IndexFlow(Flow& flow);
+  // Also zeroes rate_sum of a resource left with no flows, which is what
+  // lets RecomputeAll skip idle resources.
+  void UnindexFlow(const Flow& flow);
   // Maintains shard_cross_flows_ when a flow is indexed (+1) / removed (-1).
   void UpdateShardCrossings(const std::vector<ResourceId>& path, int delta);
 
+  // Flow table: a free slot (reused, path capacity kept) or a new one.
+  Flow* AllocFlow();
+  void FreeFlow(Flow* flow);
+
+  // Credits one flow rate x secs, clamped to its remaining bytes.
+  void CreditFlow(Flow& flow, double secs);
+  // Folds every resource's utilization EWMA over an elapsed window dt.
+  void FoldUtilization(SimTime dt);
+  // Moves time to t (>= now_): credits every flow and folds every resource.
   void AdvanceTo(SimTime t);
-  // Folded EWMA at time t without mutating the resource (no copies).
-  double FoldedSmoothedUtil(const Resource& r, SimTime t) const;
-  void UpdateSmoothedUtil(Resource& r, SimTime t) const;
-  // Shortest remaining duration among active flows (the Zeno guard works in
-  // durations, not absolute times); the single source of truth for Step().
-  SimTime MinRemainingDuration() const;
-  SimTime NextCompletionTime() const;
   void FinishRecord(FlowId id);
 
   std::vector<Resource> resources_;
-  std::map<FlowId, Flow> active_;
+
+  // Flow table.  Slots live in fixed-size chunks, so a slot's address never
+  // changes and there is no per-flow node allocation; freed slots go on an
+  // intrusive free list.  active_ holds the live slots in ascending id
+  // order, the order of every pass over flows: it is what keeps byte
+  // accounting and ProgressiveFill bit-exact.  Completion compacts it in
+  // place.
+  static constexpr std::size_t kFlowChunk = 256;
+  std::vector<std::unique_ptr<Flow[]>> flow_chunks_;
+  std::size_t flow_slots_used_ = 0;  // slots handed out of flow_chunks_
+  Flow* free_flows_ = nullptr;
+  std::vector<Flow*> active_;
   std::map<FlowId, FlowRecord> records_;
   std::vector<Timer> timers_;  // heap ordered by (when, seq)
   std::uint64_t next_flow_id_ = 1;
@@ -382,8 +411,8 @@ class FluidSimulator {
   // Event-loop scratch, reused across Steps to amortize heap churn at high
   // flow counts (moved out/in so a re-entrant Step degrades gracefully).
   std::vector<Timer> timer_batch_;
-  std::vector<Flow*> tied_scratch_;
-  std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
+  std::vector<TieCandidate> tied_scratch_;
+  std::vector<Flow*> done_scratch_;
 
   // Batched-arrival state.
   bool in_batch_ = false;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "baselines/logical.h"
@@ -212,6 +214,73 @@ TEST(OpEngineTest, WedgedLockFailsAfterMeasuredSpins) {
   // The timeout took max_lock_spins round trips of sim time, not zero.
   EXPECT_GE(results[0].finish_time - results[0].submit_time,
             7 * engine.lock_rtt());
+}
+
+// An op that finishes with a continuation still parked frees its slot; the
+// next op reuses the slot, and the stale continuation must be dropped
+// instead of running on the new tenant.
+TEST(OpEngineTest, StaleTimerIsIgnoredOnAReusedSlot) {
+  Harness h;
+  const OpEngine::Op* first_slot = nullptr;
+  bool stale_ran = false;
+  std::vector<OpResult> results;
+  h.engine.set_on_complete([&](const OpResult& r) { results.push_back(r); });
+  const OpId first = h.engine.Submit(OpKind::kGet, 0, 0, [&](OpEngine::Op& op) {
+    first_slot = &op;
+    h.engine.Delay(op, 1000, [&](OpEngine::Op&) { stale_ran = true; });
+    h.engine.Finish(op);  // the delay above is still pending
+  });
+  ASSERT_TRUE(h.engine.Drain().ok());
+  ASSERT_EQ(results.size(), 1u);
+
+  const OpId second =
+      h.engine.Submit(OpKind::kPut, 1, 0, [&](OpEngine::Op& op) {
+        EXPECT_EQ(&op, first_slot);  // the freed slot is reused
+        // The stale delay fires at t = 1000, inside this one.
+        h.engine.Delay(op, 5000, [&](OpEngine::Op& o) { h.engine.Finish(o); });
+      });
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  EXPECT_FALSE(stale_ran);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].id, first);
+  EXPECT_EQ(results[1].id, second);
+  EXPECT_EQ(results[1].kind, OpKind::kPut);
+  EXPECT_DOUBLE_EQ(results[1].finish_time - results[1].submit_time, 5000);
+  EXPECT_EQ(h.engine.in_flight(), 0u);
+}
+
+// More op ids than a 16-bit slot index could name, through a small window,
+// so slots are reused thousands of times over.
+TEST(OpEngineTest, DrainsMoreThan64kOpsThroughReusedSlots) {
+  Harness h;
+  constexpr int kTotal = 70000;
+  constexpr int kWindow = 8;
+  int submitted = 0;
+  std::set<const OpEngine::Op*> slots;
+  std::function<void()> submit_one = [&] {
+    ++submitted;
+    h.engine.Submit(OpKind::kOther, 0, 0, [&](OpEngine::Op& op) {
+      slots.insert(&op);
+      h.engine.Delay(op, 10, [&](OpEngine::Op& o) { h.engine.Finish(o); });
+    });
+  };
+  h.engine.set_on_complete([&](const OpResult&) {
+    if (submitted < kTotal) submit_one();
+  });
+  for (int i = 0; i < kWindow; ++i) submit_one();
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  EXPECT_EQ(h.engine.submitted(), static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(h.engine.completed(), static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(h.engine.in_flight(), 0u);
+  EXPECT_LE(slots.size(), static_cast<std::size_t>(kWindow) + 1);
+  EXPECT_EQ(h.metrics.Counter("ops.completed"),
+            static_cast<std::uint64_t>(kTotal));
+  EXPECT_FALSE(h.metrics.Has("ops.errors"));  // created on first error only
+  const Histogram* hist = h.metrics.FindHistogram("ops.op");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), static_cast<std::uint64_t>(kTotal));
 }
 
 // --- BtreeOpDriver ----------------------------------------------------------
